@@ -501,12 +501,6 @@ type runState struct {
 	blocks  []*flow.Block
 	solvers []*dcf.Solver
 
-	// World-shared per-rank envelope arenas, attached to every block and
-	// solver (including post-repartition rebuilds) so hot-path envelope
-	// reuse never contends across ranks at GOMAXPROCS > 1.
-	flowAr *flow.Arenas
-	dcfAr  *dcf.Arenas
-
 	dt float64
 
 	stats       []StepStats
@@ -553,8 +547,6 @@ func newRunState(cfg Config, plan *balance.Plan) *runState {
 		plan:      plan,
 		blocks:    make([]*flow.Block, n),
 		solvers:   make([]*dcf.Solver, n),
-		flowAr:    flow.NewArenas(n),
-		dcfAr:     dcf.NewArenas(n),
 		preFlops:  make([]float64, n),
 		prevClock: make([]float64, n),
 		prevWait:  make([]float64, n),
@@ -588,7 +580,6 @@ func (st *runState) buildBlocks() {
 			if c.ViscousAll {
 				blks[i].SetViscousDirs([3]bool{true, true, true})
 			}
-			blks[i].UseArenas(st.flowAr)
 			st.blocks[rk] = blks[i]
 		}
 	}

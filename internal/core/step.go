@@ -27,7 +27,6 @@ func (st *runState) rankMain(r *par.Rank) {
 	}
 	r.Barrier()
 	st.solvers[r.ID] = dcf.NewSolver(c.Overset, dcfParts(st.plan), r.ID)
-	st.solvers[r.ID].UseArenas(st.dcfAr)
 	r.Barrier()
 	// Initial connectivity (from scratch) and fringe data.
 	st.solvers[r.ID].Solve(r)
@@ -409,7 +408,6 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 	r.Compute(float64(part.Box.Count()) * 10)
 
 	st.solvers[r.ID] = dcf.NewSolver(st.cfg.Case.Overset, dcfParts(st.plan), r.ID)
-	st.solvers[r.ID].UseArenas(st.dcfAr)
 	r.Barrier()
 	// Re-establish connectivity under the new partition so the next flow
 	// step has valid fringe exchange lists.

@@ -93,10 +93,6 @@ type Solver struct {
 	// (nil otherwise; see metrics.go).
 	met *solverMetrics
 
-	// ar, when non-nil, holds the world-shared per-rank envelope arenas
-	// (see UseArenas). Nil falls back to the process-global pools.
-	ar *Arenas
-
 	// Reusable per-solve scratch. Everything below changes host allocation
 	// behavior only, never modeled time (see DESIGN.md, "Wall-clock vs
 	// virtual time"). The per-destination request/reply buckets are dense
@@ -160,89 +156,29 @@ const chainRestartBudget = 3
 
 type reqMsg struct{ Pts []ptReq }
 
-// Message envelope pools (see par.Pool): senders copy their batch into a
-// recycled envelope; receivers copy the contents out and return it. The
+// Message envelopes (see par.Envelope): senders copy their batch into a
+// recycled envelope; receivers copy the contents out and Put it back. The
 // solver's own per-destination buckets never leave the rank, so their reuse
-// needs no cross-rank lifetime reasoning. These process-global sync.Pools
-// are the fallback for solvers without an attached Arenas (tests, ad-hoc
-// worlds); a run that wants contention-free zero-alloc reuse at
-// GOMAXPROCS > 1 attaches per-world arenas via UseArenas.
+// needs no cross-rank lifetime reasoning.
 var (
-	reqPool par.Pool[reqMsg]
-	repPool par.Pool[repMsg]
-	valPool par.Pool[valMsg]
+	reqEnv = par.NewEnvelope[reqMsg]()
+	repEnv = par.NewEnvelope[repMsg]()
+	valEnv = par.NewEnvelope[valMsg]()
 )
 
-// Arenas holds one world's per-rank sharded envelope arenas (see par.Arena):
-// every rank's solver Gets from and Puts to its own shard, so steady-state
-// envelope reuse never contends across ranks. One Arenas is shared by all of
-// a world's solvers and survives repartitions (rank count is stable).
-type Arenas struct {
-	req par.Arena[reqMsg]
-	rep par.Arena[repMsg]
-	val par.Arena[valMsg]
-}
+// Arenas, NewArenas and UseArenas survive only because the benchmark's
+// step-loop mirror (perfbench/steploop.go) calls them and must build
+// unchanged. Envelope reuse is owned by the par.World now, so they do
+// nothing.
+//
+// Deprecated: no-ops; remove with their last caller.
+type Arenas struct{}
 
-// NewArenas sizes envelope arenas for an n-rank world.
-func NewArenas(n int) *Arenas {
-	a := &Arenas{}
-	a.req.Init(n)
-	a.rep.Init(n)
-	a.val.Init(n)
-	return a
-}
+// Deprecated: see Arenas.
+func NewArenas(int) *Arenas { return nil }
 
-// UseArenas attaches shared per-rank envelope arenas; pass nil to fall back
-// to the process-global pools. Affects host allocation behavior only.
-func (s *Solver) UseArenas(a *Arenas) { s.ar = a }
-
-// Envelope get/put helpers: arena shard for this rank when attached, global
-// pool otherwise. A received envelope is Put into the RECEIVER's shard —
-// envelope migration across ranks is the arena's designed-for case.
-func (s *Solver) getReq() *reqMsg {
-	if s.ar != nil {
-		return s.ar.req.Get(s.Rank)
-	}
-	return reqPool.Get()
-}
-
-func (s *Solver) putReq(x *reqMsg) {
-	if s.ar != nil {
-		s.ar.req.Put(s.Rank, x)
-		return
-	}
-	reqPool.Put(x)
-}
-
-func (s *Solver) getRep() *repMsg {
-	if s.ar != nil {
-		return s.ar.rep.Get(s.Rank)
-	}
-	return repPool.Get()
-}
-
-func (s *Solver) putRep(x *repMsg) {
-	if s.ar != nil {
-		s.ar.rep.Put(s.Rank, x)
-		return
-	}
-	repPool.Put(x)
-}
-
-func (s *Solver) getVal() *valMsg {
-	if s.ar != nil {
-		return s.ar.val.Get(s.Rank)
-	}
-	return valPool.Get()
-}
-
-func (s *Solver) putVal(x *valMsg) {
-	if s.ar != nil {
-		s.ar.val.Put(s.Rank, x)
-		return
-	}
-	valPool.Put(x)
-}
+// Deprecated: see Arenas.
+func (s *Solver) UseArenas(*Arenas) {}
 
 type ptRep struct {
 	ID    int

@@ -1,6 +1,8 @@
 package dcf
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"overd/internal/geom"
@@ -238,7 +240,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			inbound = append(inbound, m)
 		}
 		s.inbound = inbound
-		sort.Slice(inbound, func(a, b int) bool { return inbound[a].From < inbound[b].From })
+		slices.SortFunc(inbound, byFrom)
 		replies := s.replies
 		for origin := range replies {
 			replies[origin] = replies[origin][:0]
@@ -265,13 +267,13 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 				}
 				replies[pt.Origin] = append(replies[pt.Origin], rep)
 			}
-			s.putReq(req)
+			reqEnv.Put(r, req)
 		}
 		for dst, reps := range replies {
 			if len(reps) == 0 {
 				continue
 			}
-			env := s.getRep()
+			env := repEnv.Get(r)
 			env.Results = append(env.Results[:0], reps...)
 			if r.SendReliable(dst, par.TagSearchRep, env, bytesPerReply*len(reps)) {
 				continue
@@ -299,7 +301,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			inRep = append(inRep, m)
 		}
 		s.inbound = inRep
-		sort.Slice(inRep, func(a, b int) bool { return inRep[a].From < inRep[b].From })
+		slices.SortFunc(inRep, byFrom)
 		for _, m := range inRep {
 			rep := m.Data.(*repMsg)
 			for _, res := range rep.Results {
@@ -322,7 +324,7 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 				dst := p.popCand()
 				outbox[dst] = append(outbox[dst], s.scratchReq(res.ID, pt, p))
 			}
-			s.putRep(rep)
+			repEnv.Put(r, rep)
 		}
 
 		work := 0
@@ -350,13 +352,16 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 	return stats
 }
 
-// sendReqBatch copies a request batch into a recycled envelope (this rank's
-// arena shard, or the global pool) and ships it on the reliable transport.
+// sendReqBatch copies a request batch into an envelope from this rank's free
+// list and ships it on the reliable transport.
 func (s *Solver) sendReqBatch(r *par.Rank, dst int, pts []ptReq) bool {
-	env := s.getReq()
+	env := reqEnv.Get(r)
 	env.Pts = append(env.Pts[:0], pts...)
 	return r.SendReliable(dst, par.TagSearchReq, env, bytesPerRequest*len(pts))
 }
+
+// byFrom orders received messages by sender rank.
+func byFrom(a, b par.Msg) int { return cmp.Compare(a.From, b.From) }
 
 // sortedKeys returns the keys of any int-keyed map in ascending order.
 // Every send loop driven by a map MUST iterate via this helper (or an

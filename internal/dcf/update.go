@@ -22,7 +22,7 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			continue
 		}
 		batches++
-		env := s.getVal()
+		env := valEnv.Get(r)
 		ids := env.IDs[:0]
 		vals := env.Vals[:0]
 		for _, e := range entries {
@@ -83,7 +83,7 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			copy(q[:], vm.Vals[5*n:5*n+5])
 			b.SetFringe(pt.I, pt.J, pt.K, q)
 		}
-		s.putVal(vm)
+		valEnv.Put(r, vm)
 	}
 	s.publishFringeMetrics(r, interp, batches)
 }

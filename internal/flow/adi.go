@@ -95,17 +95,16 @@ func (b *Block) lineSet(d int) lineGeom {
 
 // pipeMsg carries the Thomas recurrence state across a rank boundary for a
 // batch of lines: forward messages hold (c', d') per line per component;
-// backward messages hold the solved x per line per component. Envelopes are
-// pooled (see par.Pool): the receiver copies Vals out and returns the
-// envelope, so steady-state sweeps allocate nothing per batch.
+// backward messages hold the solved x per line per component. The receiver
+// copies Vals out and Puts the envelope back into its own free list (see
+// par.Envelope), so steady-state sweeps allocate nothing per batch.
 type pipeMsg struct {
 	Dir   int
 	Batch int
 	Vals  []float64
 }
 
-// pipePool recycles pipeMsg envelopes across all ranks and blocks.
-var pipePool par.Pool[pipeMsg]
+var pipeEnv = par.NewEnvelope[pipeMsg]()
 
 // sweepDirection applies one ADI factor along direction d. The pointwise
 // passes walk contiguous i-runs and build only the matrix each pass needs
@@ -246,7 +245,7 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 			pm := m.Data.(*pipeMsg)
 			copy(cIn[lo*5:(hi+1)*5], pm.Vals[:5*(hi-lo+1)])
 			copy(dIn[lo*5:(hi+1)*5], pm.Vals[5*(hi-lo+1):])
-			b.putPipe(r, pm)
+			pipeEnv.Put(r, pm)
 		}
 		for ln := lo; ln <= hi; ln++ {
 			base := lg.lineBase(ln)
@@ -291,7 +290,7 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 		}
 		if nextRank >= 0 {
 			nv := hi - lo + 1
-			pm := b.getPipe(r)
+			pm := pipeEnv.Get(r)
 			pm.Dir, pm.Batch = d, bi
 			pm.Vals = append(pm.Vals[:0], cOut[lo*5:(hi+1)*5]...)
 			pm.Vals = append(pm.Vals, dOut[lo*5:(hi+1)*5]...)
@@ -306,7 +305,7 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 			m := r.Recv(nextRank, par.TagPipeline)
 			pm := m.Data.(*pipeMsg)
 			copy(xIn[lo*5:(hi+1)*5], pm.Vals)
-			b.putPipe(r, pm)
+			pipeEnv.Put(r, pm)
 		}
 		for ln := lo; ln <= hi; ln++ {
 			base := lg.lineBase(ln)
@@ -327,7 +326,7 @@ func (b *Block) lineSolves(r *par.Rank, d int, dt float64, lam []float64) float6
 		}
 		if prevRank >= 0 {
 			nv := hi - lo + 1
-			pm := b.getPipe(r)
+			pm := pipeEnv.Get(r)
 			pm.Dir, pm.Batch = d, bi
 			pm.Vals = append(pm.Vals[:0], xIn[lo*5:(hi+1)*5]...)
 			r.Send(prevRank, par.TagPipeline, pm, 8*5*nv)

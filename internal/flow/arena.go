@@ -1,60 +1,15 @@
 package flow
 
-import "overd/internal/par"
+// Arenas, NewArenas and UseArenas survive only because the benchmark's
+// step-loop mirror (perfbench/steploop.go) calls them and must build
+// unchanged. Envelope reuse is owned by the par.World now (see faceEnv,
+// pipeEnv), so they do nothing.
+//
+// Deprecated: no-ops; remove with their last caller.
+type Arenas struct{}
 
-// Arenas holds one world's per-rank sharded envelope arenas (see par.Arena)
-// for the flow solver's two message kinds: halo face planes and pipelined
-// tridiagonal boundary state. Each rank's block Gets from and Puts to its own
-// shard, so steady-state envelope reuse never contends across ranks the way
-// the process-global sync.Pools' per-P caches do at GOMAXPROCS > 1. One
-// Arenas is shared by all of a world's blocks and survives repartitions.
-type Arenas struct {
-	face par.Arena[faceMsg]
-	pipe par.Arena[pipeMsg]
-}
+// Deprecated: see Arenas.
+func NewArenas(int) *Arenas { return nil }
 
-// NewArenas sizes envelope arenas for an n-rank world.
-func NewArenas(n int) *Arenas {
-	a := &Arenas{}
-	a.face.Init(n)
-	a.pipe.Init(n)
-	return a
-}
-
-// UseArenas attaches shared per-rank envelope arenas; pass nil to fall back
-// to the process-global pools. Affects host allocation behavior only — wire
-// sizes and virtual clocks never depend on where an envelope came from.
-func (b *Block) UseArenas(a *Arenas) { b.ar = a }
-
-// Envelope get/put helpers: the calling rank's arena shard when attached,
-// the global pool otherwise. A received envelope is Put into the RECEIVER's
-// shard — cross-rank envelope migration is the arena's designed-for case.
-func (b *Block) getFace(r *par.Rank) *faceMsg {
-	if b.ar != nil {
-		return b.ar.face.Get(r.ID)
-	}
-	return facePool.Get()
-}
-
-func (b *Block) putFace(r *par.Rank, x *faceMsg) {
-	if b.ar != nil {
-		b.ar.face.Put(r.ID, x)
-		return
-	}
-	facePool.Put(x)
-}
-
-func (b *Block) getPipe(r *par.Rank) *pipeMsg {
-	if b.ar != nil {
-		return b.ar.pipe.Get(r.ID)
-	}
-	return pipePool.Get()
-}
-
-func (b *Block) putPipe(r *par.Rank, x *pipeMsg) {
-	if b.ar != nil {
-		b.ar.pipe.Put(r.ID, x)
-		return
-	}
-	pipePool.Put(x)
-}
+// Deprecated: see Arenas.
+func (b *Block) UseArenas(*Arenas) {}

@@ -69,10 +69,6 @@ type Block struct {
 	// driver; defaults to wall-normal η for viscous grids).
 	viscDirs [3]bool
 
-	// ar, when non-nil, holds the world-shared per-rank envelope arenas
-	// (see UseArenas). Nil falls back to the process-global pools.
-	ar *Arenas
-
 	scr *scratch
 }
 

@@ -4,15 +4,14 @@ import (
 	"overd/internal/par"
 )
 
-// faceMsg is the pooled envelope for one halo plane. The receiver copies
-// vals into its ghost layer and returns the envelope to facePool, so
+// faceMsg is the envelope for one halo plane. The receiver copies vals into
+// its ghost layer and Puts the envelope back into its own free list, so
 // steady-state exchanges allocate nothing per face.
 type faceMsg struct {
 	vals []float64
 }
 
-// facePool recycles faceMsg envelopes across all ranks and blocks.
-var facePool par.Pool[faceMsg]
+var faceEnv = par.NewEnvelope[faceMsg]()
 
 // ExchangeHalo swaps the Halo-deep boundary planes of Q with the face
 // neighbors of this block (including periodic wrap neighbors). All sends
@@ -39,7 +38,7 @@ func (b *Block) ExchangeHalo(r *par.Rank) {
 			}
 			posts[nposts] = post{dim, side, nbr}
 			nposts++
-			fm := b.getFace(r)
+			fm := faceEnv.Get(r)
 			fm.vals = b.packFace(fm.vals[:0], dim, side)
 			// Tag encodes the receiving face so a 2-rank periodic ring
 			// can distinguish its two connections to the same peer.
@@ -62,14 +61,14 @@ func (b *Block) ExchangeHalo(r *par.Rank) {
 			if m, ok := r.RecvTimeout(p.nbr.Rank, tag, 2*r.Model().LatencySec); ok {
 				fm := m.Data.(*faceMsg)
 				b.unpackFace(p.dim, p.side, fm.vals)
-				b.putFace(r, fm)
+				faceEnv.Put(r, fm)
 			}
 			continue
 		}
 		m := r.Recv(p.nbr.Rank, tag)
 		fm := m.Data.(*faceMsg)
 		b.unpackFace(p.dim, p.side, fm.vals)
-		b.putFace(r, fm)
+		faceEnv.Put(r, fm)
 	}
 }
 

@@ -283,6 +283,10 @@ type World struct {
 	// — costs one pointer test per blocking operation and nothing on the
 	// non-blocking hot paths.
 	gate chan struct{}
+
+	// envs holds one envelope store per registered Envelope type, indexed
+	// by the handle's id (see envelope.go).
+	envs []any
 }
 
 // SetParallelism bounds the number of rank goroutines running host code
@@ -390,6 +394,7 @@ func NewWorld(n int, m machine.Model) *World {
 	w.bar.init(n)
 	w.collect = make([]any, n)
 	w.collectF = make([]float64, n)
+	w.envs = newEnvStores(n)
 	return w
 }
 

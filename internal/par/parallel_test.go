@@ -7,7 +7,7 @@ import (
 )
 
 // These tests stress the cross-rank shared structures — mailboxes, the
-// envelope arena, the run-slot gate — under real goroutine concurrency.
+// envelope stores, the run-slot gate — under real goroutine concurrency.
 // They are most valuable under `go test -race` at GOMAXPROCS > 1, which is
 // how CI runs them; at GOMAXPROCS=1 they still exercise every interleaving
 // point the Go scheduler can produce on one core.
@@ -72,76 +72,111 @@ func TestMailboxManyConcurrentSenders(t *testing.T) {
 	}
 }
 
-// TestArenaConcurrentMigration drives the arena's migration path under
-// concurrency: every goroutine Gets envelopes from its own shard and hands
-// them to its neighbor, which Puts them into its own shard — the
+// intEnv is the test envelope type; registered at package init like the
+// solvers' envelopes, so every test world carries a store for it.
+var intEnv = NewEnvelope[int]()
+
+// TestEnvelopeConcurrentMigration drives the envelope store's migration path
+// under concurrency: every rank Gets envelopes from its own free list and
+// sends them to its neighbor, which Puts them into its own free list — the
 // requester/server imbalance pattern from the DCF solver, where envelopes
 // allocated on one rank retire on another. The race detector owns the
 // correctness claim; the test just keeps the pointers moving.
-func TestArenaConcurrentMigration(t *testing.T) {
+func TestEnvelopeConcurrentMigration(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	const nRanks = 8
 	const rounds = 500
-	var a Arena[int]
-	a.Init(nRanks)
-	chans := make([]chan *int, nRanks)
-	for i := range chans {
-		chans[i] = make(chan *int, rounds)
-	}
-	done := make(chan bool, nRanks)
-	for i := 0; i < nRanks; i++ {
-		go func(rank int) {
-			ok := true
-			for j := 0; j < rounds; j++ {
-				x := a.Get(rank)
-				if x == nil {
-					ok = false
-					break
-				}
-				*x = rank
-				chans[(rank+1)%nRanks] <- x
-				y := <-chans[rank]
-				if *y != (rank+nRanks-1)%nRanks {
-					ok = false
-				}
-				a.Put(rank, y)
+	w := testWorld(nRanks)
+	ok := make([]bool, nRanks)
+	w.Run(func(r *Rank) {
+		ok[r.ID] = true
+		for j := 0; j < rounds; j++ {
+			x := intEnv.Get(r)
+			if x == nil {
+				ok[r.ID] = false
+				break
 			}
-			done <- ok
-		}(i)
-	}
-	for i := 0; i < nRanks; i++ {
-		if !<-done {
-			t.Fatal("arena returned nil or a clobbered envelope under migration")
+			*x = r.ID
+			r.Send((r.ID+1)%nRanks, TagUser, x, 8)
+			y := r.Recv((r.ID+nRanks-1)%nRanks, TagUser).Data.(*int)
+			if *y != (r.ID+nRanks-1)%nRanks {
+				ok[r.ID] = false
+			}
+			intEnv.Put(r, y)
+		}
+	})
+	for id, good := range ok {
+		if !good {
+			t.Fatalf("rank %d: envelope store returned nil or a clobbered envelope under migration", id)
 		}
 	}
 }
 
-// TestArenaOverflowRecycles pins the overflow list's purpose: envelopes
-// retired past one rank's shard cap must come back out of Get on a
+// TestEnvelopeOverflowRecycles pins the overflow list's purpose: envelopes
+// retired past one rank's free-list cap must come back out of Get on a
 // different rank instead of being dropped for the allocator to replace.
-func TestArenaOverflowRecycles(t *testing.T) {
-	var a Arena[int]
-	a.Init(2)
-	const n = arenaShardCap + 36
+func TestEnvelopeOverflowRecycles(t *testing.T) {
+	const n = envShardCap + 36
 	put := make(map[*int]bool, n)
-	live := make([]*int, n)
-	for i := range live {
-		live[i] = a.Get(0)
-		put[live[i]] = true
-	}
-	for _, x := range live {
-		a.Put(0, x)
-	}
-	// Rank 0's shard holds arenaShardCap of them; the rest spilled to the
-	// shared overflow list, which rank 1's empty shard must drain first.
-	for i := 0; i < n-arenaShardCap; i++ {
-		if x := a.Get(1); !put[x] {
-			t.Fatalf("Get(1) #%d returned a fresh allocation while %d envelopes sat in overflow",
-				i, n-arenaShardCap-i)
+	testWorld(2).Run(func(r *Rank) {
+		if r.ID == 0 {
+			live := make([]*int, n)
+			for i := range live {
+				live[i] = intEnv.Get(r)
+				put[live[i]] = true
+			}
+			for _, x := range live {
+				intEnv.Put(r, x)
+			}
 		}
-	}
+		r.Barrier()
+		if r.ID == 0 {
+			return
+		}
+		// Rank 0's free list holds envShardCap of them; the rest spilled to
+		// the shared overflow list, which rank 1's empty list must drain
+		// first.
+		for i := 0; i < n-envShardCap; i++ {
+			if x := intEnv.Get(r); !put[x] {
+				t.Errorf("Get on rank 1 #%d returned a fresh allocation while %d envelopes sat in overflow",
+					i, n-envShardCap-i)
+				return
+			}
+		}
+	})
+}
+
+// TestEnvelopePingPongZeroAlloc pins the steady-state reuse claim: in a
+// 2-rank world, an envelope round trip (Get, Send, Recv, Put on each side)
+// allocates nothing once both free lists are warm.
+func TestEnvelopePingPongZeroAlloc(t *testing.T) {
+	pinOneProc(t)
+	testWorld(2).Run(func(r *Rank) {
+		if r.ID == 0 {
+			if n := testing.AllocsPerRun(100, func() {
+				x := intEnv.Get(r)
+				*x = 1
+				r.Send(1, TagUser, x, 8)
+				intEnv.Put(r, r.Recv(1, TagUser).Data.(*int))
+			}); n != 0 {
+				t.Errorf("envelope ping-pong allocates %.1f objects/op", n)
+			}
+			r.Send(1, TagUser, nil, 0) // stop marker
+			return
+		}
+		for {
+			m := r.Recv(0, TagUser)
+			if m.Data == nil {
+				return
+			}
+			intEnv.Put(r, m.Data.(*int))
+			x := intEnv.Get(r)
+			*x = 2
+			r.Send(0, TagUser, x, 8)
+		}
+	})
 }
 
 // TestSetParallelismClockInvariance is the gate's core contract: any worker
