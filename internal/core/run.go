@@ -500,6 +500,12 @@ type runState struct {
 
 	blocks  []*flow.Block
 	solvers []*dcf.Solver
+	// parts is the connectivity view of plan, shared read-only by every
+	// rank's solver.
+	parts []dcf.Part
+	// spares[r] is the block rank r retired at its latest repartition,
+	// rebuilt in place at the next one; nil until the first.
+	spares []*flow.Block
 
 	dt float64
 
@@ -547,6 +553,8 @@ func newRunState(cfg Config, plan *balance.Plan) *runState {
 		plan:      plan,
 		blocks:    make([]*flow.Block, n),
 		solvers:   make([]*dcf.Solver, n),
+		parts:     dcfParts(plan),
+		spares:    make([]*flow.Block, n),
 		preFlops:  make([]float64, n),
 		prevClock: make([]float64, n),
 		prevWait:  make([]float64, n),
@@ -562,25 +570,29 @@ func dcfParts(plan *balance.Plan) []dcf.Part {
 	return parts
 }
 
-// buildBlocks constructs every rank's block for the current plan; called by
-// rank 0 between barriers (block construction reads shared grid geometry).
-func (st *runState) buildBlocks() {
+// buildBlock builds rank's block of plan into b: the rank's box of its
+// component grid, with face neighbours among that grid's parts. It reads
+// only the plan and the shared grid geometry, so every rank builds its own
+// block concurrently between barriers.
+func (st *runState) buildBlock(b *flow.Block, plan *balance.Plan, rank int) *flow.Block {
 	c := st.cfg.Case
-	for gi := range c.Sys.Grids {
-		var boxes []grid.IBox
-		var ranks []int
-		for rank, part := range st.plan.Parts {
-			if part.Grid == gi {
-				boxes = append(boxes, part.Box)
-				ranks = append(ranks, rank)
-			}
+	gi := plan.Parts[rank].Grid
+	var boxes []grid.IBox
+	var ranks []int
+	idx := 0
+	for rk, part := range plan.Parts {
+		if part.Grid != gi {
+			continue
 		}
-		blks := flow.BuildBlocks(c.Sys.Grids[gi], boxes, ranks, c.FS)
-		for i, rk := range ranks {
-			if c.ViscousAll {
-				blks[i].SetViscousDirs([3]bool{true, true, true})
-			}
-			st.blocks[rk] = blks[i]
+		if rk == rank {
+			idx = len(boxes)
 		}
+		boxes = append(boxes, part.Box)
+		ranks = append(ranks, rk)
 	}
+	flow.BuildBlock(b, c.Sys.Grids[gi], boxes, ranks, idx, c.FS)
+	if c.ViscousAll {
+		b.SetViscousDirs([3]bool{true, true, true})
+	}
+	return b
 }

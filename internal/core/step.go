@@ -17,16 +17,17 @@ func (st *runState) rankMain(r *par.Rank) {
 
 	// ---- Preprocessing (excluded from statistics, like the paper's). ----
 	r.SetPhase(par.PhaseOther)
-	if r.ID == 0 {
-		st.buildBlocks()
-		if st.restoreQ != nil {
-			// Restarting after an injected crash: reload the checkpointed
-			// conserved field into the new partition's blocks.
-			st.loadQ()
-		}
+	// Each rank builds its own block; block construction only reads the
+	// shared grid geometry, which nothing writes before the first
+	// connectivity solve.
+	st.blocks[r.ID] = st.buildBlock(new(flow.Block), st.plan, r.ID)
+	if st.restoreQ != nil {
+		// Restarting after an injected crash: reload the checkpointed
+		// conserved field into the new partition's block.
+		st.loadQ(r.ID)
 	}
 	r.Barrier()
-	st.solvers[r.ID] = dcf.NewSolver(c.Overset, dcfParts(st.plan), r.ID)
+	st.solvers[r.ID] = dcf.NewSolver(c.Overset, st.parts, r.ID)
 	r.Barrier()
 	// Initial connectivity (from scratch) and fringe data.
 	st.solvers[r.ID].Solve(r)
@@ -367,48 +368,58 @@ func (st *runState) balanceStep(r *par.Rank, step int) {
 
 // repartition rebuilds blocks and connectivity state for a new plan,
 // modeling the data redistribution cost: every conserved value whose owner
-// changed crosses the network once.
+// changed crosses the network once. Every rank rebuilds its own block, in
+// parallel, into its spare — the block it retired at the previous
+// repartition — and keeps its connectivity solver, so a rebalance reuses
+// the storage the rank already owns. The barriers are exactly those of the
+// modeled redistribution; host-side work between them never touches a
+// virtual clock.
 func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
-	oldBlocks := make([]*flow.Block, len(st.blocks))
-	copy(oldBlocks, st.blocks)
 	oldPlan := st.plan
 	r.Barrier()
+	// Until the post-copy barrier below, peers read only current blocks,
+	// and the grid geometry stays unwritten.
+	spare := st.spares[r.ID]
+	if spare == nil {
+		spare = new(flow.Block)
+	}
+	b := st.buildBlock(spare, newPlan, r.ID)
 	if r.ID == 0 {
 		st.plan = newPlan
+		st.parts = dcfParts(newPlan)
 		st.rebalances++
 		// The shipped volume, from box intersections: host-side, so the
 		// accounting itself costs no collective.
 		st.movedPoints += balance.MovedPoints(oldPlan, newPlan)
-		st.buildBlocks()
 	}
 	r.Barrier()
 
-	// Copy conserved data into my new block from the old owners, and
+	// Copy conserved data into my new block from the old owners' current
+	// blocks — the old parts of my grid that overlap my new box — and
 	// charge the modeled redistribution traffic.
-	b := st.blocks[r.ID]
 	part := st.plan.Parts[r.ID]
 	moved := 0
-	for k := part.Box.KLo; k <= part.Box.KHi; k++ {
-		for j := part.Box.JLo; j <= part.Box.JHi; j++ {
-			for i := part.Box.ILo; i <= part.Box.IHi; i++ {
-				oldRank := ownerOf(oldPlan, part.Grid, i, j, k)
-				q, ok := oldBlocks[oldRank].QAtGlobal(i, j, k)
-				if !ok {
-					continue
-				}
-				if oldRank != r.ID {
-					moved++
-				}
-				li, lj, lk := b.Local(i, j, k)
-				b.SetQ(b.LIdx(li, lj, lk), q)
-			}
+	for oldRank, op := range oldPlan.Parts {
+		if op.Grid != part.Grid {
+			continue
+		}
+		ov := op.Box.Intersect(part.Box)
+		if !ov.Valid() {
+			continue
+		}
+		b.CopyQ(st.blocks[oldRank], ov)
+		if oldRank != r.ID {
+			moved += ov.Count()
 		}
 	}
 	r.Elapse(r.Model().CommTime(moved * 40))
 	r.Compute(float64(part.Box.Count()) * 10)
 
-	st.solvers[r.ID] = dcf.NewSolver(st.cfg.Case.Overset, dcfParts(st.plan), r.ID)
+	st.solvers[r.ID].Repartition(st.parts)
 	r.Barrier()
+	// Every peer has finished copying out of my old block: it becomes my
+	// spare.
+	st.blocks[r.ID], st.spares[r.ID] = b, st.blocks[r.ID]
 	// Re-establish connectivity under the new partition so the next flow
 	// step has valid fringe exchange lists.
 	st.solvers[r.ID].Solve(r)
@@ -417,13 +428,4 @@ func (st *runState) repartition(r *par.Rank, newPlan *balance.Plan) {
 	st.blocks[r.ID].ExchangeHalo(r)
 	st.solvers[r.ID].UpdateFringes(r, st.blocks[r.ID])
 	r.Barrier()
-}
-
-func ownerOf(plan *balance.Plan, gi, i, j, k int) int {
-	for rank, p := range plan.Parts {
-		if p.Grid == gi && p.Box.Contains(i, j, k) {
-			return rank
-		}
-	}
-	return -1
 }

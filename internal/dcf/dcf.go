@@ -204,9 +204,27 @@ func NewSolver(cfg *overset.Config, parts []Part, rank int) *Solver {
 	}
 }
 
-// InvalidateRestart drops the nth-level restart hints (after repartition).
-func (s *Solver) InvalidateRestart() {
+// Repartition points the solver at a new partition of the same world and
+// returns it to the state NewSolver leaves: no restart hints, no fringe
+// points or interpolation duties, every counter zero — the cumulative
+// LostSends, LostReplies and LostFringe included — and no cached metric
+// handles, since this rank's grid label may change. The per-rank buckets,
+// the pending table, the donor arrays and the message scratch keep their
+// storage, so a dynamic repartition rebuilds connectivity without
+// regrowing them.
+func (s *Solver) Repartition(parts []Part) {
+	s.Parts = parts
 	clear(s.restart)
+	s.igbps = s.igbps[:0]
+	s.donors = s.donors[:0]
+	s.donorRank = s.donorRank[:0]
+	for i := range s.sendList {
+		s.sendList[i] = s.sendList[i][:0]
+	}
+	s.ReceivedIGBPs, s.Forwards, s.Orphans, s.SearchSteps = 0, 0, 0, 0
+	s.Hinted, s.Scratch, s.HintMisses = 0, 0, 0
+	s.LostSends, s.LostReplies, s.LostFringe = 0, 0, 0
+	s.met = nil
 }
 
 // ensureWorld sizes the per-rank scratch buckets and builds the per-grid

@@ -2,6 +2,7 @@ package dcf
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"overd/internal/balance"
@@ -210,13 +211,84 @@ func TestUpdateFringesDeliversInterpolatedData(t *testing.T) {
 	}
 }
 
-func TestInvalidateRestart(t *testing.T) {
-	cfg, parts, _ := testSystem(t, 3)
-	s := NewSolver(cfg, parts, 0)
-	s.restart[packRestartKey(0, 1, 2, 0)] = restartHint{}
-	s.InvalidateRestart()
-	if len(s.restart) != 0 {
-		t.Error("restart map should be empty")
+// reversed returns the partition with every part moved to the mirrored
+// rank: the same boxes under a different rank assignment.
+func reversed(parts []Part) []Part {
+	out := make([]Part, len(parts))
+	for r := range parts {
+		out[r] = parts[len(parts)-1-r]
+		out[r].Rank = r
+	}
+	return out
+}
+
+// A solver moved to a new partition must be indistinguishable from
+// NewSolver's: reset state and counters (the cumulative loss counters
+// included), and a following solve that reproduces a fresh solver's donors,
+// duties and virtual clocks exactly — a leftover restart hint would route a
+// request to a stale rank and move the clocks.
+func TestSolverRepartition(t *testing.T) {
+	const nodes = 6
+	type outcome struct {
+		donors    []overset.Donor
+		donorRank []int
+		sendList  [][]sendEntry
+		received  int
+		clock     float64
+	}
+	run := func(repartition bool) []outcome {
+		cfg, parts, _ := testSystem(t, nodes)
+		moved := reversed(parts)
+		out := make([]outcome, nodes)
+		w := par.NewWorld(nodes, machine.SP2())
+		w.Run(func(r *par.Rank) {
+			s := NewSolver(cfg, parts, r.ID)
+			s.Solve(r)
+			if repartition {
+				s.LostSends, s.LostReplies, s.LostFringe = 1, 2, 3
+				s.met = &solverMetrics{}
+				s.Repartition(moved)
+				fresh := NewSolver(cfg, moved, r.ID)
+				if len(s.restart) != 0 || len(s.igbps) != 0 || len(s.donors) != 0 ||
+					len(s.donorRank) != 0 || s.met != nil {
+					t.Errorf("rank %d: Repartition left restart %d, igbps %d, donors %d/%d, met %v",
+						r.ID, len(s.restart), len(s.igbps), len(s.donors), len(s.donorRank), s.met)
+				}
+				for _, l := range s.sendList {
+					if len(l) != 0 {
+						t.Errorf("rank %d: Repartition left interpolation duties", r.ID)
+					}
+				}
+				got := [...]int{s.ReceivedIGBPs, s.Forwards, s.Orphans, s.SearchSteps,
+					s.Hinted, s.Scratch, s.HintMisses, s.LostSends, s.LostReplies, s.LostFringe}
+				want := [...]int{fresh.ReceivedIGBPs, fresh.Forwards, fresh.Orphans, fresh.SearchSteps,
+					fresh.Hinted, fresh.Scratch, fresh.HintMisses, fresh.LostSends, fresh.LostReplies, fresh.LostFringe}
+				if got != want || s.Rank != fresh.Rank || &s.Parts[0] != &moved[0] {
+					t.Errorf("rank %d: counters %v, want NewSolver's %v", r.ID, got, want)
+				}
+			} else {
+				s = NewSolver(cfg, moved, r.ID)
+			}
+			s.Solve(r)
+			o := outcome{
+				donors:    append([]overset.Donor(nil), s.donors...),
+				donorRank: append([]int(nil), s.donorRank...),
+				received:  s.ReceivedIGBPs,
+				clock:     r.Clock,
+			}
+			for _, l := range s.sendList {
+				o.sendList = append(o.sendList, append([]sendEntry(nil), l...))
+			}
+			out[r.ID] = o
+		})
+		return out
+	}
+	got, want := run(true), run(false)
+	for r := range want {
+		if !reflect.DeepEqual(got[r], want[r]) {
+			t.Errorf("rank %d: solve after Repartition differs from a fresh solver's (clock %v vs %v, received %d vs %d)",
+				r, got[r].clock, want[r].clock, got[r].received, want[r].received)
+		}
 	}
 }
 

@@ -108,3 +108,19 @@ func TestComputeTurbulenceZeroAlloc(t *testing.T) {
 		t.Fatalf("ComputeTurbulence allocates %v times per call, want 0", n)
 	}
 }
+
+// Rebuilding a block for the box it already has — every repartition that
+// leaves a rank's box unchanged — reuses all of its storage, scratch
+// included.
+func TestBlockResetZeroAlloc(t *testing.T) {
+	pinOneProc(t)
+	blk, _ := allocBlock()
+	blk.ensureScratch()
+	g, own, fs := blk.G, blk.Own, blk.FS
+	if n := testing.AllocsPerRun(5, func() {
+		blk.Reset(g, own, fs)
+		blk.ensureScratch()
+	}); n != 0 {
+		t.Fatalf("same-box Reset allocates %v times per call, want 0", n)
+	}
+}

@@ -69,15 +69,28 @@ type Block struct {
 	// driver; defaults to wall-normal η for viscous grids).
 	viscDirs [3]bool
 
-	scr *scratch
+	// scr is nil until ensureScratch sizes it for the current box; idleScr
+	// holds the storage Reset released, for ensureScratch to reuse.
+	scr, idleScr *scratch
 }
 
 // NewBlock allocates the solver state for the given owned box of grid g.
 func NewBlock(g *grid.Grid, own grid.IBox, fs Freestream) *Block {
+	return new(Block).Reset(g, own, fs)
+}
+
+// Reset re-initialises b for the given owned box of grid g inside its
+// existing storage, growing a slice only when its capacity is too small,
+// and leaves b exactly as NewBlock would: freestream Q, fresh geometry and
+// iblank, zero work arrays, no neighbours, no viscous directions. The
+// lazily sized scratch is released for ensureScratch to reuse. A
+// repartition rebuilds a rank's block this way into the block it retired,
+// instead of allocating a new one.
+func (b *Block) Reset(g *grid.Grid, own grid.IBox, fs Freestream) *Block {
 	if !own.Valid() {
 		panic(fmt.Sprintf("flow: invalid owned box %v", own))
 	}
-	b := &Block{G: g, Own: own, FS: fs, TwoD: g.NK == 1}
+	b.G, b.Own, b.FS, b.TwoD = g, own, fs, g.NK == 1
 	b.MI = own.NI() + 2*Halo
 	b.MJ = own.NJ() + 2*Halo
 	b.MK = own.NK() + 2*Halo
@@ -85,28 +98,47 @@ func NewBlock(g *grid.Grid, own grid.IBox, fs Freestream) *Block {
 		b.MK = 1
 	}
 	n := b.MI * b.MJ * b.MK
-	b.Q = make([]float64, 5*n)
-	b.DQ = make([]float64, 5*n)
-	b.RHS = make([]float64, 5*n)
-	b.XL = make([]float64, n)
-	b.YL = make([]float64, n)
-	b.ZL = make([]float64, n)
-	b.XT = make([]float64, n)
-	b.YT = make([]float64, n)
-	b.ZT = make([]float64, n)
-	b.Met = make([]float64, 9*n)
-	b.Jac = make([]float64, n)
-	b.IBl = make([]int8, n)
+	b.Q = zeroed(b.Q, 5*n)
+	b.DQ = zeroed(b.DQ, 5*n)
+	b.RHS = zeroed(b.RHS, 5*n)
+	b.XL = zeroed(b.XL, n)
+	b.YL = zeroed(b.YL, n)
+	b.ZL = zeroed(b.ZL, n)
+	b.XT = zeroed(b.XT, n)
+	b.YT = zeroed(b.YT, n)
+	b.ZT = zeroed(b.ZT, n)
+	b.Met = zeroed(b.Met, 9*n)
+	b.Jac = zeroed(b.Jac, n)
+	b.IBl = zeroed(b.IBl, n)
 	if g.Turbulent {
-		b.MuT = make([]float64, n)
+		b.MuT = zeroed(b.MuT, n)
+	} else {
+		// Laminar blocks have no eddy viscosity; the viscous flux tests
+		// MuT against nil.
+		b.MuT = nil
 	}
 	for d := 0; d < 3; d++ {
-		b.Nbr[d][0].Rank = -1
-		b.Nbr[d][1].Rank = -1
+		b.Nbr[d][0] = Neighbor{Rank: -1}
+		b.Nbr[d][1] = Neighbor{Rank: -1}
+	}
+	b.viscDirs = [3]bool{}
+	if b.scr != nil {
+		b.idleScr, b.scr = b.scr, nil
 	}
 	b.RefreshGeometry(0)
 	b.InitFreestream()
 	return b
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage when the
+// capacity suffices.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NPointsLocal returns the local array size including ghosts.

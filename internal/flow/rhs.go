@@ -35,23 +35,33 @@ type scratch struct {
 	blOmega, blY, blRho []float64
 }
 
+// ensureScratch sizes the scratch for the current box on first use, in the
+// storage a Reset released when there is one, zeroed like a fresh
+// allocation, then classifies the points and caches the freestream
+// residual. It is the only place scratch is sized and classified.
 func (b *Block) ensureScratch() {
 	if b.scr != nil {
 		return
 	}
+	s := b.idleScr
+	if s == nil {
+		s = new(scratch)
+	}
+	b.idleScr = nil
 	n := b.NPointsLocal()
-	s := &scratch{
-		fw:    make([]float64, 5*n),
-		pr:    make([]float64, n),
-		prim:  make([]float64, 4*n),
-		upd:   make([]bool, n),
-		stv:   make([]bool, n),
-		rhs0:  make([]float64, 5*n),
-		cpAll: make([]float64, 5*n),
-	}
+	s.fw = zeroed(s.fw, 5*n)
+	s.pr = zeroed(s.pr, n)
+	s.prim = zeroed(s.prim, 4*n)
+	s.upd = zeroed(s.upd, n)
+	s.stv = zeroed(s.stv, n)
+	s.rhs0 = zeroed(s.rhs0, 5*n)
+	s.cpAll = zeroed(s.cpAll, 5*n)
 	for d := 0; d < 3; d++ {
-		s.sig[d] = make([]float64, n)
+		s.sig[d] = zeroed(s.sig[d], n)
 	}
+	// The per-line buffers keep their storage and contents: their users
+	// grow them on demand and write every element before reading it, as
+	// they already rely on from one sweep to the next.
 	b.scr = s
 	b.classifyPoints()
 	b.computeFreestreamResidual()

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 
 	"overd/internal/grid"
@@ -108,6 +109,24 @@ func (b *Block) QAtGlobal(i, j, k int) ([5]float64, bool) {
 	}
 	li, lj, lk := b.Local(i, j, k)
 	return b.QAt(b.LIdx(li, lj, lk)), true
+}
+
+// CopyQ copies the conserved state at the points of box, which both b and
+// src must own, from src into b: the redistribution step of a repartition,
+// one contiguous i-row at a time.
+func (b *Block) CopyQ(src *Block, box grid.IBox) {
+	if b.Own.Intersect(box) != box || src.Own.Intersect(box) != box {
+		panic(fmt.Sprintf("flow: CopyQ box %v not owned by both %v and %v", box, b.Own, src.Own))
+	}
+	row := 5 * box.NI()
+	for k := box.KLo; k <= box.KHi; k++ {
+		for j := box.JLo; j <= box.JHi; j++ {
+			di, dj, dk := b.Local(box.ILo, j, k)
+			si, sj, sk := src.Local(box.ILo, j, k)
+			d, s := 5*b.LIdx(di, dj, dk), 5*src.LIdx(si, sj, sk)
+			copy(b.Q[d:d+row], src.Q[s:s+row])
+		}
+	}
 }
 
 func clampK(b *Block, k int) int {
