@@ -26,7 +26,6 @@ type runFlags struct {
 	faultsPath      string
 	fieldOut        string
 	metricsOut      string
-	serveAddr       string
 	workers         int
 }
 
@@ -38,8 +37,15 @@ type validated struct {
 	fieldFile string
 }
 
-// validateServeAddr checks a -serve listen address for host:port shape.
-func validateServeAddr(addr string) error {
+// validateServe checks the job-service daemon's command line: -serve runs
+// the daemon and nothing else, so oneShot — the one-shot run flags also
+// given, such as -metrics — must be empty, and addr must have host:port
+// shape.
+func validateServe(addr string, oneShot []string) error {
+	if len(oneShot) > 0 {
+		return fmt.Errorf("-serve runs the job-service daemon only and cannot be combined with %s; the daemon exports its own metrics at /metrics",
+			strings.Join(oneShot, " "))
+	}
 	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return fmt.Errorf("-serve %q: want host:port (e.g. :9090 or localhost:9090): %v", addr, err)
@@ -84,14 +90,6 @@ func validateRunFlags(f runFlags) (validated, error) {
 			return v, fmt.Errorf("-metrics %q: want a .prom/.txt (Prometheus text) or .json extension, got %q", f.metricsOut, ext)
 		}
 	}
-	// -serve is valid on its own (job-service daemon) or with -metrics
-	// (live view of a one-shot run); only the address syntax is checked.
-	if f.serveAddr != "" {
-		if err := validateServeAddr(f.serveAddr); err != nil {
-			return v, err
-		}
-	}
-
 	switch f.caseName {
 	case "airfoil":
 		v.c = overd.OscillatingAirfoil(f.scale)

@@ -66,29 +66,6 @@ func TestValidateRunFlags(t *testing.T) {
 		{"metrics json ok", func(f *runFlags) { f.metricsOut = "run.json" }, ""},
 		{"metrics bad extension", func(f *runFlags) { f.metricsOut = "run.csv" }, ".prom/.txt"},
 		{"metrics no extension", func(f *runFlags) { f.metricsOut = "metricsfile" }, ".prom/.txt"},
-		{"serve alone ok (job-service daemon)", func(f *runFlags) { f.serveAddr = ":9090" }, ""},
-		{"serve alone port 0 ok", func(f *runFlags) { f.serveAddr = "127.0.0.1:0" }, ""},
-		{"serve alone missing port", func(f *runFlags) { f.serveAddr = "localhost" }, "host:port"},
-		{"serve with metrics ok", func(f *runFlags) {
-			f.metricsOut = "run.prom"
-			f.serveAddr = ":9090"
-		}, ""},
-		{"serve host ok", func(f *runFlags) {
-			f.metricsOut = "run.prom"
-			f.serveAddr = "localhost:0"
-		}, ""},
-		{"serve missing port", func(f *runFlags) {
-			f.metricsOut = "run.prom"
-			f.serveAddr = "localhost"
-		}, "host:port"},
-		{"serve non-numeric port", func(f *runFlags) {
-			f.metricsOut = "run.prom"
-			f.serveAddr = ":http"
-		}, "0..65535"},
-		{"serve port out of range", func(f *runFlags) {
-			f.metricsOut = "run.prom"
-			f.serveAddr = ":70000"
-		}, "0..65535"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -104,6 +81,42 @@ func TestValidateRunFlags(t *testing.T) {
 				}
 				if v.m.Name == "" {
 					t.Fatal("valid flags returned zero machine")
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("want error containing %q, got nil", c.wantErr)
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %q does not contain %q", err, c.wantErr)
+			}
+		})
+	}
+
+	// -serve runs the job-service daemon and nothing else: one-shot run
+	// flags next to it are rejected, and the address must be host:port.
+	serveCases := []struct {
+		name    string
+		addr    string
+		oneShot []string
+		wantErr string
+	}{
+		{"serve alone ok (job-service daemon)", ":9090", nil, ""},
+		{"serve alone port 0 ok", "127.0.0.1:0", nil, ""},
+		{"serve alone missing port", "localhost", nil, "host:port"},
+		{"serve with metrics rejected", ":9090", []string{"-metrics"}, "daemon exports its own metrics at /metrics"},
+		{"serve with run flags rejected", ":9090", []string{"-case", "-steps"}, "-case -steps"},
+		{"serve host ok", "localhost:0", nil, ""},
+		{"serve missing port", "localhost", nil, "host:port"},
+		{"serve non-numeric port", ":http", nil, "0..65535"},
+		{"serve port out of range", ":70000", nil, "0..65535"},
+	}
+	for _, c := range serveCases {
+		t.Run(c.name, func(t *testing.T) {
+			err := validateServe(c.addr, c.oneShot)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
 				}
 				return
 			}

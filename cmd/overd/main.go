@@ -6,15 +6,19 @@
 //	overd -case airfoil|deltawing|storesep [-nodes n] [-machine SP2|SP]
 //	      [-steps n] [-scale f] [-fo f] [-workers k] [-dump] [-field out.csv]
 //	      [-trace out.json] [-trace-summary]
-//	      [-metrics out.prom|out.json] [-serve :9090]
-//	      [-faults plan.json] [-checkpoint-every n]
+//	      [-metrics out.prom|out.json] [-faults plan.json]
+//	      [-checkpoint-every n]
+//	overd -serve :9090 [-serve-workers n] [-serve-queue n]
+//	      [-serve-cache-dir dir] [-serve-journal-dir dir] [-serve-flight n]
 //
-// With -serve and no -metrics, overd instead runs the multi-tenant job
-// service daemon (POST /jobs et al.; see internal/serve) until SIGINT or
-// SIGTERM, draining in-flight jobs before exiting.
+// With -serve, overd runs the multi-tenant job service daemon instead of a
+// one-shot run (POST /jobs et al.; see internal/serve) until SIGINT or
+// SIGTERM, draining in-flight jobs before exiting. The daemon takes only
+// -serve* flags and exports its own metrics at /metrics.
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -26,6 +30,7 @@ import (
 	"syscall"
 
 	"overd"
+	"overd/internal/grid"
 	"overd/internal/plot3d"
 	"overd/internal/report"
 	"overd/internal/serve"
@@ -49,7 +54,7 @@ func main() {
 	faultsPath := flag.String("faults", "", "JSON fault plan: stragglers, degraded links, message loss, rank crashes (see package fault)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "steps between crash-recovery checkpoints (0 = auto when the plan crashes ranks, negative = off)")
 	metricsOut := flag.String("metrics", "", "write run metrics after the run (.prom/.txt = Prometheus text, .json = JSON)")
-	serveAddr := flag.String("serve", "", "with -metrics: serve that run's live /metrics on this host:port; alone: run the multi-tenant job service daemon here instead of a one-shot run")
+	serveAddr := flag.String("serve", "", "run the multi-tenant job service daemon on this host:port instead of a one-shot run (takes only -serve* flags; metrics at /metrics)")
 	serveWorkers := flag.Int("serve-workers", 0, "job-service worker-pool size (0 = default)")
 	serveQueue := flag.Int("serve-queue", 0, "job-service admission queue depth (0 = default)")
 	serveCacheDir := flag.String("serve-cache-dir", "", "job-service persistent result-cache directory (empty = memory only)")
@@ -57,10 +62,17 @@ func main() {
 	serveFlight := flag.Int("serve-flight", 0, "job-service span flight-recorder capacity: the last N finished jobs keep wall-clock spans for GET /jobs/{id}/spans and /status (0 = default 64, negative = disable the span layer)")
 	flag.Parse()
 
-	if *serveAddr != "" && *metricsOut == "" {
+	if *serveAddr != "" {
 		// Daemon mode: no one-shot run; the POST body picks case/machine/
-		// scale per job, so the run flags are ignored.
-		if err := validateServeAddr(*serveAddr); err != nil {
+		// scale per job, so a one-shot run flag on the command line is an
+		// error rather than silently ignored.
+		var oneShot []string
+		flag.Visit(func(fl *flag.Flag) {
+			if !strings.HasPrefix(fl.Name, "serve") {
+				oneShot = append(oneShot, "-"+fl.Name)
+			}
+		})
+		if err := validateServe(*serveAddr, oneShot); err != nil {
 			log.Fatal(err)
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -84,8 +96,7 @@ func main() {
 		steps: *steps, scale: *scale, fo: *fo, balancer: *balancerName,
 		checkEvery: *checkEvery, checkpointEvery: *checkpointEvery,
 		faultsPath: *faultsPath, fieldOut: *fieldOut,
-		metricsOut: *metricsOut, serveAddr: *serveAddr,
-		workers: *workers,
+		metricsOut: *metricsOut, workers: *workers,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -148,27 +159,30 @@ func main() {
 			// when no trace output was requested.
 			cfg.Trace = overd.NewTraceRecorder()
 		}
-		if *serveAddr != "" {
-			bound, err := startMetricsServer(*serveAddr, reg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("serving live metrics on http://%s/metrics (also /debug/vars, /debug/pprof)\n", bound)
-		}
 	}
 	var spec overd.SampleSpec
 	spec.FieldGrid, spec.FieldK, spec.SurfaceGrid = -1, -1, -1
 	if v.fieldGrid >= 0 {
 		spec.FieldGrid = v.fieldGrid
 		cfg.Sample = &spec
-		defer func() { writeField(v.fieldFile, cfg) }()
 	}
 
 	res, err := overd.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lastRes = res
+	if v.fieldGrid >= 0 && len(res.Field) > 0 {
+		if err := writeField(v.fieldFile, res.Field); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %d field samples to %s\n", len(res.Field), v.fieldFile)
+	}
+	if *xyzOut != "" {
+		if err := writeXYZ(*xyzOut, c.Sys.Grids); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote PLOT3D grid system (with iblank) to %s\n", *xyzOut)
+	}
 
 	fmt.Printf("\nprocessors per grid (balancer %s): %v  (τ = %.3f)\n",
 		res.Config.Balancer, res.Np, res.Tau)
@@ -245,39 +259,41 @@ func main() {
 		}
 		fmt.Printf("wrote run metrics (%d ranks) to %s\n", reg.NRanks(), *metricsOut)
 	}
-
-	if *xyzOut != "" {
-		f, err := os.Create(*xyzOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		format := plot3d.ASCII
-		if strings.HasSuffix(*xyzOut, ".gb") {
-			format = plot3d.Binary
-		}
-		if err := plot3d.WriteXYZ(f, c.Sys.Grids, format); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("wrote PLOT3D grid system (with iblank) to %s\n", *xyzOut)
-	}
 }
 
-var lastRes *overd.Result
-
-func writeField(file string, cfg overd.Config) {
-	if lastRes == nil || len(lastRes.Field) == 0 {
-		return
-	}
+// writeField writes sampled flow states to file as CSV.
+func writeField(file string, samples []overd.FieldSample) error {
 	f, err := os.Create(file)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	fmt.Fprintln(f, "x,y,z,mach,rho,p,iblank")
-	for _, s := range lastRes.Field {
-		fmt.Fprintf(f, "%.5f,%.5f,%.5f,%.5f,%.5f,%.5f,%d\n",
+	w := bufio.NewWriter(f)
+	fmt.Fprintln(w, "x,y,z,mach,rho,p,iblank")
+	for _, s := range samples {
+		fmt.Fprintf(w, "%.5f,%.5f,%.5f,%.5f,%.5f,%.5f,%d\n",
 			s.X, s.Y, s.Z, s.Mach, s.Rho, s.P, s.IBlank)
 	}
-	fmt.Printf("wrote %d field samples to %s\n", len(lastRes.Field), file)
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeXYZ writes the grid system to file as PLOT3D XYZ with iblank: ASCII,
+// or binary when the name ends in .gb.
+func writeXYZ(file string, grids []*grid.Grid) error {
+	f, err := os.Create(file)
+	if err != nil {
+		return err
+	}
+	format := plot3d.ASCII
+	if strings.HasSuffix(file, ".gb") {
+		format = plot3d.Binary
+	}
+	if err := plot3d.WriteXYZ(f, grids, format); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,57 +2,15 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
-	"overd"
 	"overd/internal/serve"
 )
 
-// startMetricsServer exposes the live registry over HTTP while the run is in
-// progress. The registry's per-shard locks make concurrent scrapes safe, and
-// scrapes never touch the virtual clocks — observers on the host wall clock
-// cannot perturb the simulation. Returns the bound address (useful when the
-// caller asked for port 0).
-func startMetricsServer(addr string, reg *overd.MetricsRegistry) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("-serve %s: %v", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			if err := reg.WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := reg.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	// Host-process introspection rides along: Go runtime counters and
-	// profiles describe the simulator itself, not the simulated machine.
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		// The process exits when the run completes; the listener dies with it.
-		_ = http.Serve(ln, mux)
-	}()
-	return ln.Addr().String(), nil
-}
-
-// runJobService runs the multi-tenant job service (-serve without -metrics):
+// runJobService runs the multi-tenant job service (-serve):
 // it binds addr, serves internal/serve's HTTP API, and blocks until ctx is
 // cancelled — then drains gracefully, refusing new work while queued and
 // running jobs finish. ready (may be nil) is told the bound address once the

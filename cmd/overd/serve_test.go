@@ -3,95 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"overd"
-	"overd/internal/metrics"
 	"overd/internal/serve"
 )
-
-// populatedRegistry runs a tiny case so the live registry has real series.
-func populatedRegistry(t *testing.T) *overd.MetricsRegistry {
-	t.Helper()
-	reg := overd.NewMetricsRegistry()
-	cfg := overd.Config{
-		Case: overd.OscillatingAirfoil(0.05), Nodes: 4,
-		Machine: overd.SP2(), Steps: 1, CheckInterval: 5,
-		Metrics: reg, Trace: overd.NewTraceRecorder(),
-	}
-	if _, err := overd.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return reg
-}
-
-// TestStartMetricsServerEndpoints covers the legacy -serve+-metrics mux:
-// status codes, content types, and that /metrics round-trips through the
-// strict Prometheus parser.
-func TestStartMetricsServerEndpoints(t *testing.T) {
-	reg := populatedRegistry(t)
-	bound, err := startMetricsServer("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + bound
-
-	get := func(path string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp, b
-	}
-
-	resp, body := get("/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4" {
-		t.Errorf("/metrics content type %q", ct)
-	}
-	fams, err := metrics.ParsePrometheus(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatalf("/metrics output does not re-parse: %v", err)
-	}
-	if len(fams) == 0 {
-		t.Error("/metrics exported no families from a populated registry")
-	}
-
-	resp, body = get("/metrics?format=json")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics?format=json status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/metrics json content type %q", ct)
-	}
-	if !json.Valid(body) {
-		t.Error("/metrics?format=json is not valid JSON")
-	}
-
-	resp, body = get("/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", resp.StatusCode)
-	}
-	if !json.Valid(body) {
-		t.Error("/debug/vars is not valid JSON")
-	}
-
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, _ := get(path)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status %d", path, resp.StatusCode)
-		}
-	}
-}
 
 // TestRunJobServiceGracefulShutdown: the daemon serves jobs, and cancelling
 // its context (the SIGINT/SIGTERM path in main) drains and returns nil.

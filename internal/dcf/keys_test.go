@@ -2,32 +2,15 @@ package dcf
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
-// TestSortedKeysGeneric pins the one generic sorted-keys helper that
-// replaced the old per-type sortedKeys/sortedRepKeys pair. Any future
-// map-driven send loop must iterate through it (or a dense rank-indexed
-// bucket array): Go map iteration order is randomized and would otherwise
-// leak nondeterminism into sends and trace event order.
-func TestSortedKeysGeneric(t *testing.T) {
-	reqs := map[int][]ptReq{7: nil, 0: nil, 3: nil}
-	if got, want := sortedKeys(reqs), []int{0, 3, 7}; !reflect.DeepEqual(got, want) {
-		t.Errorf("sortedKeys over reqs = %v, want %v", got, want)
-	}
-	reps := map[int][]ptRep{12: nil, 2: nil}
-	if got, want := sortedKeys(reps), []int{2, 12}; !reflect.DeepEqual(got, want) {
-		t.Errorf("sortedKeys over reps = %v, want %v", got, want)
-	}
-	if got := sortedKeys(map[int]bool{}); len(got) != 0 {
-		t.Errorf("sortedKeys over empty map = %v, want empty", got)
-	}
-}
-
 // TestDenseBucketOrderMatchesSortedKeys documents the equivalence the
 // dense per-rank buckets rely on: iterating a rank-indexed slice in index
-// order visits destinations exactly as sortedKeys over the equivalent map
-// would.
+// order visits destinations exactly as the sorted keys of the equivalent
+// map would. Go map iteration order is randomized, so a send loop driven
+// by a map would leak that randomness into message timing and trace order.
 func TestDenseBucketOrderMatchesSortedKeys(t *testing.T) {
 	buckets := make([][]ptReq, 8)
 	m := map[int][]ptReq{}
@@ -41,7 +24,12 @@ func TestDenseBucketOrderMatchesSortedKeys(t *testing.T) {
 			dense = append(dense, dst)
 		}
 	}
-	if !reflect.DeepEqual(dense, sortedKeys(m)) {
-		t.Errorf("dense iteration order %v != sortedKeys order %v", dense, sortedKeys(m))
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	if !reflect.DeepEqual(dense, keys) {
+		t.Errorf("dense iteration order %v != sorted map keys %v", dense, keys)
 	}
 }

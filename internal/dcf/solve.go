@@ -11,9 +11,6 @@ import (
 	"overd/internal/par"
 )
 
-// debugFwd, when set, observes every forwarded request (test hook).
-var debugFwd func(ptReq)
-
 // Stats summarizes one rank's view of a connectivity solve.
 type Stats struct {
 	// LocalIGBPs is the number of fringe points owned by this rank.
@@ -259,9 +256,6 @@ func (s *Solver) Solve(r *par.Rank) Stats {
 			for _, pt := range req.Pts {
 				rep, fwd, fwdTo := s.serve(r, gi, box, pt)
 				if fwdTo >= 0 {
-					if debugFwd != nil {
-						debugFwd(pt)
-					}
 					fwdbox[fwdTo] = append(fwdbox[fwdTo], fwd)
 					continue
 				}
@@ -362,20 +356,6 @@ func (s *Solver) sendReqBatch(r *par.Rank, dst int, pts []ptReq) bool {
 
 // byFrom orders received messages by sender rank.
 func byFrom(a, b par.Msg) int { return cmp.Compare(a.From, b.From) }
-
-// sortedKeys returns the keys of any int-keyed map in ascending order.
-// Every send loop driven by a map MUST iterate via this helper (or an
-// equivalently ordered dense structure): Go map iteration order is
-// randomized, and an unsorted send loop would leak that randomness into
-// message timing, trace event order, and ultimately the virtual clocks.
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
 
 // hintFor returns the restart hint for an IGBP if available.
 func (s *Solver) hintFor(pt overset.IGBP) (restartHint, bool) {

@@ -36,9 +36,9 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			vals = append(vals, q[:]...)
 		}
 		env.IDs, env.Vals = ids, vals
-		// Reliable under fault injection (plain Send otherwise); a batch
-		// lost beyond the retry budget arrives as a tombstone, which the
-		// receiver's RecvTimeout below turns into "keep previous data".
+		// A batch lost beyond the retry budget arrives as a tombstone,
+		// which the receiver's RecvTimeout below turns into "keep previous
+		// data".
 		r.SendReliable(dst, par.TagUser+1, env, bytesPerValue*len(ids))
 	}
 	r.Compute(float64(interp) * flopsPerInterp)
@@ -56,25 +56,19 @@ func (s *Solver) UpdateFringes(r *par.Rank, b *flow.Block) {
 			expect[s.donorRank[id]] = true
 		}
 	}
-	faulty := r.Faulty()
+	// Graceful degradation: a fringe-value batch lost beyond the transport's
+	// retry budget leaves these fringe points holding their previous data
+	// for this step (the orphan treatment), instead of deadlocking the
+	// receive.
+	grace := 2 * r.Model().LatencySec
 	for from, want := range expect {
 		if !want {
 			continue
 		}
-		var m par.Msg
-		if faulty {
-			var ok bool
-			// Graceful degradation: a fringe-value batch lost beyond the
-			// transport's retry budget leaves these fringe points holding
-			// their previous data for this step (the orphan treatment),
-			// instead of deadlocking the receive.
-			m, ok = r.RecvTimeout(from, par.TagUser+1, 2*r.Model().LatencySec)
-			if !ok {
-				s.LostFringe++
-				continue
-			}
-		} else {
-			m = r.Recv(from, par.TagUser+1)
+		m, ok := r.RecvTimeout(from, par.TagUser+1, grace)
+		if !ok {
+			s.LostFringe++
+			continue
 		}
 		vm := m.Data.(*valMsg)
 		for n, id := range vm.IDs {

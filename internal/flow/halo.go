@@ -51,24 +51,17 @@ func (b *Block) ExchangeHalo(r *par.Rank) {
 		}
 	}
 	publishHaloMetrics(r, nposts, haloBytes)
-	faulty := r.Faulty()
+	// A plane lost beyond the retry budget degrades to reusing the previous
+	// ghost values (first-order in time) instead of deadlocking or killing
+	// the run.
+	grace := 2 * r.Model().LatencySec
 	for _, p := range posts[:nposts] {
 		tag := par.TagHalo + par.Tag(10*p.dim+p.side)
-		if faulty {
-			// A plane lost beyond the retry budget degrades to reusing the
-			// previous ghost values (first-order in time) instead of
-			// deadlocking or killing the run.
-			if m, ok := r.RecvTimeout(p.nbr.Rank, tag, 2*r.Model().LatencySec); ok {
-				fm := m.Data.(*faceMsg)
-				b.unpackFace(p.dim, p.side, fm.vals)
-				faceEnv.Put(r, fm)
-			}
-			continue
+		if m, ok := r.RecvTimeout(p.nbr.Rank, tag, grace); ok {
+			fm := m.Data.(*faceMsg)
+			b.unpackFace(p.dim, p.side, fm.vals)
+			faceEnv.Put(r, fm)
 		}
-		m := r.Recv(p.nbr.Rank, tag)
-		fm := m.Data.(*faceMsg)
-		b.unpackFace(p.dim, p.side, fm.vals)
-		faceEnv.Put(r, fm)
 	}
 }
 

@@ -1,8 +1,13 @@
 package par
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"overd/internal/metrics"
+	"overd/internal/trace"
 )
 
 // scriptInjector drops the first dropFirst physical attempts it sees.
@@ -321,4 +326,82 @@ func TestSendReliableUnfaultedNoAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// With no injector attached the reliable transport is the plain one: an
+// exchange driven by SendReliable+RecvTimeout and the same exchange driven
+// by Send+Recv leave identical clocks, trace events (flow ids included) and
+// windowed metrics. This is what lets protocols call the loss-tolerant pair
+// unconditionally instead of branching on whether faults are attached.
+func TestSendReliableUnfaultedMatchesSend(t *testing.T) {
+	const n = 4
+	run := func(reliable bool) ([]float64, *trace.Recorder, *metrics.Registry) {
+		w := testWorld(n)
+		rec, reg := trace.NewRecorder(), metrics.New()
+		w.SetTrace(rec)
+		w.SetMetrics(reg)
+		clocks := make([]float64, n)
+		w.Run(func(r *Rank) {
+			reg.MarkWindowStart(r.ID)
+			r.SetPhase(PhaseFlow)
+			for step := 0; step < 3; step++ {
+				r.Compute(float64(1e5 * (r.ID + 1)))
+				// Ring neighbours plus a free self-send.
+				for k, to := range []int{(r.ID + 1) % n, (r.ID + n - 1) % n, r.ID} {
+					tag, size := TagHalo+Tag(k), 64*(k+1)*(r.ID+1)
+					if reliable {
+						if !r.SendReliable(to, tag, step, size) {
+							t.Errorf("rank %d: unfaulted SendReliable reported a loss", r.ID)
+						}
+					} else {
+						r.Send(to, tag, step, size)
+					}
+				}
+				for k, from := range []int{(r.ID + n - 1) % n, (r.ID + 1) % n, r.ID} {
+					var m Msg
+					if reliable {
+						var ok bool
+						if m, ok = r.RecvTimeout(from, TagHalo+Tag(k), 2*r.Model().LatencySec); !ok {
+							t.Errorf("rank %d: unfaulted RecvTimeout timed out", r.ID)
+						}
+					} else {
+						m = r.Recv(from, TagHalo+Tag(k))
+					}
+					if m.Data != step {
+						t.Errorf("rank %d step %d: got payload %v", r.ID, step, m.Data)
+					}
+				}
+			}
+			r.Barrier()
+			reg.MarkWindowEnd(r.ID)
+			clocks[r.ID] = r.Clock
+		})
+		return clocks, rec, reg
+	}
+	plainClocks, plainRec, plainReg := run(false)
+	relClocks, relRec, relReg := run(true)
+	if !reflect.DeepEqual(plainClocks, relClocks) {
+		t.Errorf("clocks differ: Send+Recv %v, SendReliable+RecvTimeout %v", plainClocks, relClocks)
+	}
+	for rank := 0; rank < n; rank++ {
+		if !reflect.DeepEqual(plainRec.Events(rank), relRec.Events(rank)) {
+			t.Errorf("rank %d: trace events differ", rank)
+		}
+		for _, name := range []string{"overd_par_msgs_sent_total", "overd_par_bytes_sent_total"} {
+			p, q := plainReg.SumSeries(name, rank), relReg.SumSeries(name, rank)
+			if p == 0 || p != q {
+				t.Errorf("rank %d %s: Send+Recv %v, SendReliable+RecvTimeout %v", rank, name, p, q)
+			}
+		}
+	}
+	var plainProm, relProm bytes.Buffer
+	if err := plainReg.WritePrometheus(&plainProm); err != nil {
+		t.Fatal(err)
+	}
+	if err := relReg.WritePrometheus(&relProm); err != nil {
+		t.Fatal(err)
+	}
+	if plainProm.String() != relProm.String() {
+		t.Error("metrics exposition differs between Send+Recv and SendReliable+RecvTimeout")
+	}
 }

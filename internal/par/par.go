@@ -683,11 +683,6 @@ func (r *Rank) TotalFaultWaitTime() float64 {
 	return s
 }
 
-// Faulty reports whether a fault injector is attached to the world, i.e.
-// whether messages on this run can be lost. Protocols consult it to decide
-// between the plain blocking receive and the loss-tolerant path.
-func (r *Rank) Faulty() bool { return r.w.inj != nil }
-
 // chargeFaultWait advances the clock by dt in the current phase,
 // attributing it to the fault-wait category.
 func (r *Rank) chargeFaultWait(dt float64, tag Tag, peer int) {
@@ -719,72 +714,10 @@ func (r *Rank) TotalFlops() float64 {
 // Send transmits data to rank `to` with the given tag. bytes is the modeled
 // wire size. Send is asynchronous: the sender is charged only a startup
 // overhead, and the message becomes available at the receiver at
-// sender-clock + latency + bytes/bandwidth.
+// sender-clock + latency + bytes/bandwidth. A message the fault layer drops
+// still arrives as a loss tombstone (see RecvTimeout).
 func (r *Rank) Send(to int, tag Tag, data any, bytes int) {
-	if to < 0 || to >= r.w.n {
-		panic(fmt.Sprintf("par: send to invalid rank %d", to))
-	}
-	r.sendSeq++
-	m := Msg{
-		From:   r.ID,
-		To:     to,
-		Tag:    tag,
-		Data:   data,
-		Bytes:  bytes,
-		Arrive: r.Clock + r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes),
-		flow:   uint64(r.ID+1)<<40 | r.sendSeq,
-	}
-	if to == r.ID {
-		// Self-sends are free by design: a rank handing data to itself is
-		// a local buffer hand-off with no wire and no messaging-stack
-		// traversal — its (tiny) memory cost is already inside the compute
-		// model — so no latency share is charged and the message is
-		// available immediately (asserted by TestSelfSendIsFree). They are
-		// also never dropped: there is no wire to lose them on.
-		m.Arrive = r.Clock
-		if r.tr != nil {
-			r.emit(trace.KindSend, r.Clock, 0, tag, to, bytes, m.flow)
-		}
-		r.countSend(tag, bytes)
-		r.pending = append(r.pending, m)
-		return
-	}
-	if r.w.inj != nil && r.w.inj.Drop(r.ID, to, int(tag), r.sendSeq) {
-		// The payload is lost on the wire; a tombstone still arrives so the
-		// receiver can discover the loss in virtual time (RecvTimeout). A
-		// plain Recv on a tombstone panics: unguarded protocols must fail
-		// loudly, not silently read nil data.
-		m.Data, m.Lost = nil, true
-		r.Dropped++
-		if r.w.met != nil {
-			r.w.met.dropped.Add1(r.ID, int(tag), 1)
-		}
-	}
-	// Sender-side software overhead: a fraction of latency.
-	ov := r.w.model.LatencySec * 0.25
-	if r.tr != nil {
-		r.emit(trace.KindSend, r.Clock, ov, tag, to, bytes, m.flow)
-	}
-	r.countSend(tag, bytes)
-	r.advance(ov)
-	r.deliver(to, tag, m)
-}
-
-// countSend records one wire hand-off in the metrics plane. It sits at
-// exactly the sites that emit trace.KindSend, so windowed totals match the
-// summary's MsgsSent/BytesSent columns.
-func (r *Rank) countSend(tag Tag, bytes int) {
-	if m := r.w.met; m != nil {
-		m.msgs.Add2(r.ID, int(r.phase), int(tag), 1)
-		m.bytes.Add2(r.ID, int(r.phase), int(tag), float64(bytes))
-	}
-}
-
-// deliver enqueues a message on the destination inbox. The mailbox is
-// unbounded, so a sender never blocks — and never deadlocks against a dead
-// world; a poisoned run fails at the next receive or barrier instead.
-func (r *Rank) deliver(to int, tag Tag, m Msg) {
-	r.w.inbox[to].put(m)
+	r.send(to, tag, data, bytes, 0)
 }
 
 // maxSendRetries bounds SendReliable's retransmissions after the first
@@ -801,10 +734,16 @@ const maxSendRetries = 3
 // true, so loss-tolerant protocols can use it unconditionally without
 // perturbing fault-free runs.
 func (r *Rank) SendReliable(to int, tag Tag, data any, bytes int) bool {
-	if r.w.inj == nil || to == r.ID {
-		r.Send(to, tag, data, bytes)
-		return true
-	}
+	return r.send(to, tag, data, bytes, maxSendRetries)
+}
+
+// send is the one transmit path behind Send and SendReliable. Every
+// physical attempt takes its own sequence number (and so trace flow id and
+// injector decision) and is timed from the clock at that attempt. A dropped
+// attempt with retries left charges a backed-off ack timeout and goes
+// again; the last one delivers a tombstone in place of the payload. It
+// reports whether the payload was delivered.
+func (r *Rank) send(to int, tag Tag, data any, bytes int, retries int) bool {
 	if to < 0 || to >= r.w.n {
 		panic(fmt.Sprintf("par: send to invalid rank %d", to))
 	}
@@ -819,33 +758,64 @@ func (r *Rank) SendReliable(to int, tag Tag, data any, bytes int) bool {
 			Arrive: r.Clock + r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes),
 			flow:   uint64(r.ID+1)<<40 | r.sendSeq,
 		}
-		dropped := r.w.inj.Drop(r.ID, to, int(tag), r.sendSeq)
-		if !dropped || attempt == maxSendRetries {
-			if dropped {
-				m.Data, m.Lost = nil, true
-				r.Dropped++
-				if r.w.met != nil {
-					r.w.met.dropped.Add1(r.ID, int(tag), 1)
-				}
+		if to == r.ID {
+			// Self-sends are free by design: a rank handing data to itself
+			// is a local buffer hand-off with no wire and no messaging-stack
+			// traversal — its (tiny) memory cost is already inside the
+			// compute model — so no latency share is charged and the message
+			// is available immediately (asserted by TestSelfSendIsFree).
+			// They are also never dropped: there is no wire to lose them on.
+			m.Arrive = r.Clock
+			if r.tr != nil {
+				r.emit(trace.KindSend, r.Clock, 0, tag, to, bytes, m.flow)
 			}
+			r.countSend(tag, bytes)
+			r.pending = append(r.pending, m)
+			return true
+		}
+		dropped := r.w.inj != nil && r.w.inj.Drop(r.ID, to, int(tag), r.sendSeq)
+		if dropped {
+			r.Dropped++
+			if r.w.met != nil {
+				r.w.met.dropped.Add1(r.ID, int(tag), 1)
+			}
+		}
+		if !dropped || attempt == retries {
+			if dropped {
+				// The payload is lost on the wire; the tombstone lets the
+				// receiver discover the loss in virtual time.
+				m.Data, m.Lost = nil, true
+			}
+			// Sender-side software overhead: a fraction of latency.
 			ov := r.w.model.LatencySec * 0.25
 			if r.tr != nil {
 				r.emit(trace.KindSend, r.Clock, ov, tag, to, bytes, m.flow)
 			}
 			r.countSend(tag, bytes)
 			r.advance(ov)
-			r.deliver(to, tag, m)
+			// The mailbox is unbounded, so a sender never blocks — and never
+			// deadlocks against a dead world; a poisoned run fails at the
+			// next receive or barrier instead.
+			r.w.inbox[to].put(m)
 			return !dropped
 		}
-		r.Dropped++
 		r.Retries++
 		if r.w.met != nil {
-			r.w.met.dropped.Add1(r.ID, int(tag), 1)
 			r.w.met.retries.Add1(r.ID, int(tag), 1)
 		}
 		// Ack timeout: one modeled round trip, doubled per attempt.
 		rtt := 2 * r.w.model.CommTimeFor(r.ID, to, r.Clock, bytes)
 		r.chargeFaultWait(rtt*float64(uint(1)<<uint(attempt)), tag, to)
+	}
+}
+
+// countSend records one wire hand-off in the metrics plane. It sits at
+// exactly the sites that emit trace.KindSend, so windowed totals match the
+// summary's MsgsSent/BytesSent columns.
+func (r *Rank) countSend(tag Tag, bytes int) {
+	if m := r.w.met; m != nil {
+		m.msgs.Add2(r.ID, int(r.phase), int(tag), 1)
+		m.bytes.Add2(r.ID, int(r.phase), int(tag), float64(bytes))
 	}
 }
 
@@ -855,30 +825,13 @@ func (r *Rank) SendReliable(to int, tag Tag, data any, bytes int) bool {
 // with plain Recv panics — a protocol that may lose messages must use
 // RecvTimeout to handle the loss.
 func (r *Rank) Recv(from int, tag Tag) Msg {
-	for {
-		if m, ok := r.takePending(from, tag); ok {
-			r.recvAdvance(m)
-			return m
-		}
-		if t, ok := r.takeTomb(from, tag); ok {
-			panic(fmt.Sprintf(
-				"par: rank %d: message %s from rank %d was dropped by fault injection but awaited with Recv; lossy streams must use RecvTimeout",
-				r.ID, tagLabel(int(tag)), t.From))
-		}
-		r.blockingRecv(from, tag)
-	}
-}
-
-// blockingRecv waits for the next physical delivery, panicking with a
-// who-was-waiting-on-what diagnostic if the world is poisoned first.
-func (r *Rank) blockingRecv(from int, tag Tag) {
-	m, ok := r.w.inbox[r.ID].wait(r.w)
-	if !ok {
+	m := r.recv(from, tag)
+	if m.Lost {
 		panic(fmt.Sprintf(
-			"par: rank %d: inbox closed (world poisoned by a peer panic) while receiving %s from %s",
-			r.ID, tagLabel(int(tag)), rankLabel(from)))
+			"par: rank %d: message %s from rank %d was dropped by fault injection but awaited with Recv; lossy streams must use RecvTimeout",
+			r.ID, tagLabel(int(tag)), m.From))
 	}
-	r.stash(m)
+	return m
 }
 
 // RecvTimeout is Recv with loss tolerance: if the awaited message was
@@ -888,18 +841,37 @@ func (r *Rank) blockingRecv(from int, tag Tag) {
 // "timeout" here is not a wall-clock race — the transport delivers a
 // tombstone for every loss, so the outcome is a pure function of the fault
 // plan. With no injector attached RecvTimeout never times out and is
-// exactly Recv.
+// exactly Recv, so protocols call it unconditionally.
 func (r *Rank) RecvTimeout(from int, tag Tag, grace float64) (Msg, bool) {
+	m := r.recv(from, tag)
+	if m.Lost {
+		r.chargeFaultWait(m.Arrive+grace-r.Clock, tag, m.From)
+		return Msg{}, false
+	}
+	return m, true
+}
+
+// recv is the one blocking-receive loop behind Recv and RecvTimeout. It
+// returns the matching message with the clock advanced to its arrival, or
+// the matching loss tombstone (Lost set) with the clock untouched, waiting
+// on physical deliveries until one of the two shows up. It panics with a
+// who-was-waiting-on-what diagnostic if the world is poisoned first.
+func (r *Rank) recv(from int, tag Tag) Msg {
 	for {
 		if m, ok := r.takePending(from, tag); ok {
 			r.recvAdvance(m)
-			return m, true
+			return m
 		}
 		if t, ok := r.takeTomb(from, tag); ok {
-			r.chargeFaultWait(t.Arrive+grace-r.Clock, tag, t.From)
-			return Msg{}, false
+			return t
 		}
-		r.blockingRecv(from, tag)
+		m, ok := r.w.inbox[r.ID].wait(r.w)
+		if !ok {
+			panic(fmt.Sprintf(
+				"par: rank %d: inbox closed (world poisoned by a peer panic) while receiving %s from %s",
+				r.ID, tagLabel(int(tag)), rankLabel(from)))
+		}
+		r.stash(m)
 	}
 }
 

@@ -121,10 +121,6 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// tableOrder is the fixed canonical order of table ids, matching
-// overd.EmitTablesJSON's emission order.
-var tableOrder = []string{"1", "2", "3", "4", "5", "5f", "6"}
-
 // caseByName validates a case name without building the (large) grid
 // system; the builder itself runs later, on a worker.
 func caseByName(name string) (func(scale float64) *overd.Case, error) {
@@ -222,7 +218,7 @@ func (j Job) NormalizeLimits(lim Limits) (Job, error) {
 			return n, fmt.Errorf("job: %w", err)
 		}
 		n.Tables = nil
-		for _, id := range tableOrder {
+		for _, id := range overd.TableIDs() {
 			if sel[id] {
 				n.Tables = append(n.Tables, id)
 			}

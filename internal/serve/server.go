@@ -385,27 +385,12 @@ func (s *Server) replay(pending []journalRecord) error {
 			// The crash landed between the cache write and the done marker;
 			// the replay completes on the spot.
 			rec.SetCache(string(CacheHit))
-			js.status = StatusDone
-			js.cached = true
-			js.art = art
-			s.hits.Add(0, 1)
-			s.served.Add1(0, s.tenants.ID(js.tenant), 1)
-			js.events.append(Event{Type: "done", Cached: true})
-			js.events.closeLog()
-			close(js.done)
 			s.journalDoneLocked(js, StatusDone, "")
-			rec.Finish(string(StatusDone))
-			js.spans.Store(nil)
+			s.finishHitLocked(js, art)
 			continue
 		}
 		rec.SetCache(string(CacheMiss))
-		js.status = StatusQueued
-		s.inflight[js.hash] = js
-		if _, known := s.queues[js.tenant]; !known {
-			s.ring = append(s.ring, js.tenant)
-		}
-		s.queues[js.tenant] = append(s.queues[js.tenant], js)
-		s.queued++
+		s.enqueueLocked(js)
 		s.logEvent(js, "journal-replay", kv{"seq", fmt.Sprintf("%d", js.seq)})
 	}
 	return nil
@@ -497,24 +482,15 @@ func (s *Server) Submit(job Job) (*jobState, CacheStatus, error) {
 	art, hit := s.cache.Get(hash)
 	ct1 := time.Now()
 	if hit {
-		s.hits.Add(0, 1)
 		s.accepted.Add(0, 1)
 		js := s.newJobLocked(job, hash)
 		js.spans.Store(s.flight.StartAt(js.id, js.tenant, job.Balancer, t0))
 		rec := js.spans.Load()
 		rec.SetCache(string(CacheHit))
 		rec.AddStage(span.StageCache, ct0, ct1)
-		js.status = StatusDone
-		js.cached = true
-		js.art = art
 		js.events.append(Event{Type: "queued"})
-		js.events.append(Event{Type: "done", Cached: true})
-		js.events.closeLog()
-		close(js.done)
-		s.served.Add1(0, s.tenants.ID(js.tenant), 1)
 		rec.AddStage(span.StageAdmit, t0, time.Now())
-		rec.Finish(string(StatusDone))
-		js.spans.Store(nil)
+		s.finishHitLocked(js, art)
 		return js, CacheHit, nil
 	}
 	if ex, ok := s.inflight[hash]; ok {
@@ -553,17 +529,40 @@ func (s *Server) Submit(job Job) (*jobState, CacheStatus, error) {
 	}
 	s.misses.Add(0, 1)
 	s.accepted.Add(0, 1)
+	s.enqueueLocked(js)
+	js.events.append(Event{Type: "queued"})
+	rec.AddStage(span.StageAdmit, t0, time.Now())
+	s.cond.Signal()
+	return js, CacheMiss, nil
+}
+
+// finishHitLocked completes an admitted job from a cached artifact on the
+// spot, without it ever queueing: status, the closing "done" event, the
+// done channel, the hit and served counters, and the span finish.
+func (s *Server) finishHitLocked(js *jobState, art *Artifacts) {
+	js.status = StatusDone
+	js.cached = true
+	js.art = art
+	s.hits.Add(0, 1)
+	s.served.Add1(0, s.tenants.ID(js.tenant), 1)
+	js.events.append(Event{Type: "done", Cached: true})
+	js.events.closeLog()
+	close(js.done)
+	js.spans.Load().Finish(string(StatusDone))
+	js.spans.Store(nil)
+}
+
+// enqueueLocked puts an admitted cache miss on its tenant's queue (adding
+// the tenant to the round-robin ring on first sight) and makes it the
+// in-flight owner of its hash.
+func (s *Server) enqueueLocked(js *jobState) {
 	js.status = StatusQueued
-	s.inflight[hash] = js
+	s.inflight[js.hash] = js
 	if _, known := s.queues[js.tenant]; !known {
 		s.ring = append(s.ring, js.tenant)
 	}
 	s.queues[js.tenant] = append(s.queues[js.tenant], js)
 	s.queued++
-	js.events.append(Event{Type: "queued"})
-	rec.AddStage(span.StageAdmit, t0, time.Now())
-	s.cond.Signal()
-	return js, CacheMiss, nil
 }
 
 // journalAdmitLocked makes a job's admission durable. The job JSON is the

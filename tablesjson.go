@@ -2,45 +2,10 @@ package overd
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"reflect"
-	"sort"
-	"strings"
 )
-
-// ValidTableIDs is the set of table identifiers accepted by -only: the
-// paper's Tables 1-6 plus "5f", the straggler-faulted Table 5 rerun.
-var ValidTableIDs = map[string]bool{
-	"1": true, "2": true, "3": true, "4": true, "5": true, "5f": true, "6": true,
-}
-
-// ParseTableSelection parses a comma-separated table list ("1,2,5f") into a
-// selection set, rejecting unknown ids with an error naming the bad id and
-// the valid choices.
-func ParseTableSelection(only string) (map[string]bool, error) {
-	want := map[string]bool{}
-	for _, t := range strings.Split(only, ",") {
-		id := strings.TrimSpace(t)
-		if id == "" {
-			continue
-		}
-		if !ValidTableIDs[id] {
-			valid := make([]string, 0, len(ValidTableIDs))
-			for k := range ValidTableIDs {
-				valid = append(valid, k)
-			}
-			sort.Strings(valid)
-			return nil, fmt.Errorf("unknown table %q (valid: %s)", id, strings.Join(valid, ", "))
-		}
-		want[id] = true
-	}
-	if len(want) == 0 {
-		return nil, fmt.Errorf("empty table selection %q", only)
-	}
-	return want, nil
-}
 
 // sanitizeRow replaces any non-finite float64 field of a row struct with 0:
 // encoding/json rejects NaN/Inf outright, so one degenerate ratio (see
@@ -179,76 +144,4 @@ func EmitRunJSON(w io.Writer, res *Result) error {
 		}
 	}
 	return EmitRowsJSON(w, "run.steps", steps)
-}
-
-// EmitTablesJSON runs the selected tables (in fixed 1,2,3,4,5,5f,6 order)
-// and writes their rows as JSON lines. This is the single code path behind
-// `tables -json` and the bit-identity golden test: any change to the
-// simulation that alters a virtual clock, a table row, or a figure point
-// changes these bytes.
-func EmitTablesJSON(w io.Writer, opt Options, want map[string]bool) error {
-	if want["1"] {
-		t, err := RunTable1(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitPerfTableJSON(w, "1", t); err != nil {
-			return err
-		}
-	}
-	if want["2"] {
-		rows, err := RunTable2(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "2", rows); err != nil {
-			return err
-		}
-	}
-	if want["3"] {
-		t, err := RunTable3(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitPerfTableJSON(w, "3", t); err != nil {
-			return err
-		}
-	}
-	if want["4"] {
-		t, err := RunTable4(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitPerfTableJSON(w, "4", t); err != nil {
-			return err
-		}
-	}
-	if want["5"] {
-		rows, err := RunTable5(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "5", rows); err != nil {
-			return err
-		}
-	}
-	if want["5f"] {
-		rows, err := RunTable5Faulted(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "5f", rows); err != nil {
-			return err
-		}
-	}
-	if want["6"] {
-		rows, err := RunTable6(opt)
-		if err != nil {
-			return err
-		}
-		if err := EmitRowsJSON(w, "6", rows); err != nil {
-			return err
-		}
-	}
-	return nil
 }
